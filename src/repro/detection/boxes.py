@@ -38,7 +38,14 @@ class BBox:
     y2: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x1, self.y1, self.x2, self.y2)):
+        # Four direct calls, not all() over a generator: this runs on every
+        # box the simulation, fusion and the materialized store build.
+        if not (
+            math.isfinite(self.x1)
+            and math.isfinite(self.y1)
+            and math.isfinite(self.x2)
+            and math.isfinite(self.y2)
+        ):
             raise ValueError(f"BBox coordinates must be finite, got {self!r}")
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise ValueError(

@@ -98,7 +98,7 @@ class QueryEngine:
             self.store.attach_tier(self.matstore)
 
     def close(self) -> None:
-        """Flush and close the materialized store, if any (idempotent)."""
+        """Close the materialized store's session segment, if any (idempotent)."""
         if self.matstore is not None:
             self.matstore.close()
 

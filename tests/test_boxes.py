@@ -26,20 +26,29 @@ class TestBBoxConstruction:
         assert box.area == 0.0
 
     def test_inverted_x_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x1 <= x2"):
             BBox(5.0, 0.0, 1.0, 1.0)
 
     def test_inverted_y_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="y1 <= y2"):
             BBox(0.0, 5.0, 1.0, 1.0)
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            BBox(float("nan"), 0.0, 1.0, 1.0)
+        for field in range(4):
+            coords = [0.0, 0.0, 1.0, 1.0]
+            coords[field] = float("nan")
+            with pytest.raises(ValueError, match="must be finite"):
+                BBox(*coords)
 
     def test_inf_rejected(self):
-        with pytest.raises(ValueError):
-            BBox(0.0, 0.0, float("inf"), 1.0)
+        # Each field, each sign: +inf in x2/y2 (or -inf in x1/y1) would pass
+        # the corner-order check, so only the finiteness check catches it.
+        for field in range(4):
+            for value in (float("inf"), float("-inf")):
+                coords = [0.0, 0.0, 1.0, 1.0]
+                coords[field] = value
+                with pytest.raises(ValueError, match="must be finite"):
+                    BBox(*coords)
 
     def test_from_center(self):
         box = BBox.from_center(10.0, 20.0, 4.0, 6.0)
