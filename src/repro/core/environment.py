@@ -56,12 +56,13 @@ ensemble equals its requested one and all charges are identical.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.core.ensembles import EnsembleKey, enumerate_ensembles, make_key
 from repro.core.scoring import ScoringFunction, WeightedLogScore
-from repro.detection.metrics import mean_average_precision
+from repro.detection.metrics import ReferenceBoxes, mean_average_precision
 from repro.detection.types import FrameDetections
 from repro.engine.backends import ExecutionBackend, InferenceJob, SerialBackend
 from repro.engine.pipeline import FrameEvaluationError
@@ -71,6 +72,7 @@ from repro.ensembling.base import EnsembleMethod
 from repro.ensembling.wbf import WeightedBoxesFusion
 from repro.obs import NULL_OBS, Observability
 from repro.simulation.clock import CostModel, SimulatedClock
+from repro.simulation.detectors import DetectorOutput
 from repro.simulation.video import Frame
 
 __all__ = [
@@ -214,6 +216,37 @@ class EvaluationBatch:
                 continue
             seen.add(realized)
             yield realized, evaluation.est_score
+
+
+class _FrameScoring:
+    """The reference sets every ensemble of one frame is scored against.
+
+    Each is grouped by label once, on its first use: a frame whose AP
+    values all come from the store (a warm store) never builds them.
+    """
+
+    __slots__ = ("_frame", "_ref_detections", "_reference", "_truth")
+
+    def __init__(
+        self, frame: Frame, ref_detections: FrameDetections | None
+    ) -> None:
+        self._frame = frame
+        self._ref_detections = ref_detections
+        self._reference: ReferenceBoxes | None = None
+        self._truth: ReferenceBoxes | None = None
+
+    def reference(self) -> ReferenceBoxes:
+        """REF's boxes on the frame (estimated AP, Eq. 3)."""
+        if self._reference is None:
+            assert self._ref_detections is not None  # score_estimates only
+            self._reference = ReferenceBoxes(self._ref_detections)
+        return self._reference
+
+    def truth(self) -> ReferenceBoxes:
+        """The frame's ground truth (true AP, Eq. 2)."""
+        if self._truth is None:
+            self._truth = ReferenceBoxes(self._frame.ground_truth_detections())
+        return self._truth
 
 
 class DetectionEnvironment:
@@ -436,34 +469,67 @@ class DetectionEnvironment:
             )
         return self._reference_output(frame).detections
 
-    def _fused(self, frame: Frame, key: EnsembleKey) -> FrameDetections:
-        def compute() -> FrameDetections:
-            parts = [self._single_output(frame, m).detections for m in key]
-            return self.fusion.fuse(parts)
+    def _member_outputs(
+        self, frame: Frame, models: Sequence[str]
+    ) -> dict[str, DetectorOutput]:
+        """Each model's stored output on ``frame``: one lookup per model.
 
+        Billing, per-ensemble costs and every fusion of the frame read
+        these, so a frame makes one ``detector`` lookup per member however
+        many ensembles contain it.  An output evicted since it was
+        materialized is recomputed and stored; its one missed lookup is
+        the only one counted.
+        """
+        keys = [(frame.key, m) for m in models]
+        found = self.store.get_many("detector", keys)
+        outputs: dict[str, DetectorOutput] = {}
+        for m, key, output in zip(models, keys, found, strict=True):
+            if output is None:
+                output = self.store.compute_and_put(
+                    "detector", key, partial(self.detector(m).detect, frame)
+                )
+            outputs[m] = output
+        return outputs
+
+    def _fused(
+        self,
+        frame: Frame,
+        key: EnsembleKey,
+        outputs: Mapping[str, DetectorOutput],
+    ) -> FrameDetections:
         return self.store.get_or_compute(
-            "fused", (frame.key, key, self._fusion_tag), compute
+            "fused",
+            (frame.key, key, self._fusion_tag),
+            lambda: self.fusion.fuse([outputs[m].detections for m in key]),
         )
 
-    def _estimated_ap(self, frame: Frame, key: EnsembleKey) -> float:
+    def _estimated_ap(
+        self,
+        frame: Frame,
+        key: EnsembleKey,
+        fused: FrameDetections,
+        scoring: _FrameScoring,
+    ) -> float:
         return self.store.get_or_compute(
             "est_ap",
             (frame.key, key, self._est_tag),
             lambda: mean_average_precision(
-                self._fused(frame, key),
-                self.reference_detections(frame),
-                self.iou_threshold,
+                fused, scoring.reference(), self.iou_threshold
             ),
         )
 
-    def _true_ap(self, frame: Frame, key: EnsembleKey) -> float:
+    def _true_ap(
+        self,
+        frame: Frame,
+        key: EnsembleKey,
+        fused: FrameDetections,
+        scoring: _FrameScoring,
+    ) -> float:
         return self.store.get_or_compute(
             "true_ap",
             (frame.key, key, self._true_tag),
             lambda: mean_average_precision(
-                self._fused(frame, key),
-                frame.ground_truth_detections(),
-                self.iou_threshold,
+                fused, scoring.truth(), self.iou_threshold
             ),
         )
 
@@ -628,6 +694,13 @@ class DetectionEnvironment:
     ) -> EvaluationBatch:
         """Apply a set of ensembles to a frame.
 
+        The frame's ensembles share one scoring pass: each healthy
+        member's output is read from the store once, each realized
+        ensemble is fused once and its fused boxes go straight to both AP
+        computations, and the REF and ground-truth boxes are grouped by
+        label once, on the frame's first AP miss.  Scores are bit-identical
+        to scoring every ensemble on its own.
+
         Args:
             frame: The frame to process.
             keys: Ensembles to evaluate; member names must be in the pool.
@@ -667,11 +740,10 @@ class DetectionEnvironment:
         # Members whose inference produced no stored output are unhealthy
         # for this frame; each requested ensemble realizes as its healthy
         # subset.  Fault-free, everything below reduces to the identity.
-        healthy = [
-            m
-            for m in union_models
-            if self.store.contains("detector", (frame.key, m))
-        ]
+        present = self.store.contains_many(
+            "detector", [(frame.key, m) for m in union_models]
+        )
+        healthy = [m for m, ok in zip(union_models, present, strict=True) if ok]
         healthy_set = frozenset(healthy)
         failed_models = tuple(m for m in union_models if m not in healthy_set)
 
@@ -702,63 +774,56 @@ class DetectionEnvironment:
                 f"{frame.key!r} (failed: {list(failed_models)})"
             )
 
-        member_times = [
-            self._single_output(frame, model).inference_time_ms
-            for model in healthy
-        ]
+        outputs = self._member_outputs(frame, healthy)
+        member_times = [outputs[m].inference_time_ms for m in healthy]
         if self.billing == "max":
             detector_ms = max(member_times)
         else:
             detector_ms = sum(member_times)
 
         reference_ms = 0.0
+        ref_detections: FrameDetections | None = None
         if self.score_estimates:
             ref_output = self._reference_output(frame)
+            ref_detections = ref_output.detections
             if charge and self.clock.charge_once(
                 "reference", frame.key, ref_output.inference_time_ms
             ):
                 reference_ms = ref_output.inference_time_ms
+        scoring = _FrameScoring(frame, ref_detections)
 
-        # Pass 1 ("fuse"): materialize every realized ensemble's fused
-        # detections and its cost components.  Pass 2 ("score"): APs and
-        # scores.  The split exists so the two phases are separately
-        # spanned; lookup totals are identical to the single-loop form.
+        # Pass 1 ("fuse"): each realized ensemble's fused detections and
+        # cost components, once per realized subset — distinct requested
+        # ensembles can collapse onto one, whose fusion runs (and bills)
+        # once.  Pass 2 ("score"): APs and scores.  The split exists so the
+        # two phases are separately spanned.
         evaluations: dict[EnsembleKey, EnsembleEvaluation] = {}
         ensembling_ms = 0.0
-        fusions_billed: set[EnsembleKey] = set()
-        prepared: list[
-            tuple[EnsembleKey, EnsembleKey, FrameDetections, float, float]
-        ] = []
+        fused_of: dict[EnsembleKey, tuple[FrameDetections, float, float]] = {}
         with self.obs.span("fuse") as fuse_span:
-            for key in key_list:
-                realized = realized_of.get(key)
-                if realized is None:
+            for realized in realized_of.values():
+                if realized in fused_of:
                     continue
-                fused = self._fused(frame, realized)
-                member_outputs = [
-                    self._single_output(frame, m) for m in realized
-                ]
+                fused = self._fused(frame, realized, outputs)
+                member_outputs = [outputs[m] for m in realized]
                 inference_ms = sum(o.inference_time_ms for o in member_outputs)
                 pooled_boxes = sum(len(o.detections) for o in member_outputs)
                 fusion_ms = self.cost_model.ensembling_cost_ms(pooled_boxes)
-                if realized not in fusions_billed:
-                    # Distinct requested ensembles can collapse onto one
-                    # realized subset; its fusion runs (and bills) once.
-                    fusions_billed.add(realized)
-                    ensembling_ms += fusion_ms
-                prepared.append((key, realized, fused, inference_ms, fusion_ms))
+                ensembling_ms += fusion_ms
+                fused_of[realized] = (fused, inference_ms, fusion_ms)
             fuse_span.set_sim_ms(ensembling_ms)
         with self.obs.span("score"):
-            for key, realized, fused, inference_ms, fusion_ms in prepared:
+            for key, realized in realized_of.items():
+                fused, inference_ms, fusion_ms = fused_of[realized]
                 cost_ms = inference_ms + fusion_ms
                 c_hat = self.normalized_cost(cost_ms)
                 if self.score_estimates:
-                    est_ap = self._estimated_ap(frame, realized)
+                    est_ap = self._estimated_ap(frame, realized, fused, scoring)
                     est_score = self.scoring(est_ap, c_hat)
                 else:
                     est_ap = 0.0
                     est_score = 0.0
-                true_ap = self._true_ap(frame, realized)
+                true_ap = self._true_ap(frame, realized, fused, scoring)
                 evaluations[key] = EnsembleEvaluation(
                     key=key,
                     detections=fused,

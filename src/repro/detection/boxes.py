@@ -230,7 +230,7 @@ def average_boxes(boxes: Iterable[BBox], weights: Sequence[float] | None = None)
     Returns:
         The weighted-mean box.
     """
-    box_list = list(boxes)
+    box_list = boxes if isinstance(boxes, list) else list(boxes)
     if not box_list:
         raise ValueError("cannot average an empty collection of boxes")
     # Pure-Python accumulation: fusion averages a handful of boxes per call
@@ -241,13 +241,14 @@ def average_boxes(boxes: Iterable[BBox], weights: Sequence[float] | None = None)
         weight_list = [float(w) for w in weights]
         if len(weight_list) != len(box_list):
             raise ValueError("weights length must match number of boxes")
-        if any(w < 0 for w in weight_list):
-            raise ValueError("weights must be non-negative")
+        for w in weight_list:
+            if w < 0:
+                raise ValueError("weights must be non-negative")
     total = sum(weight_list)
     if total <= 0:
         raise ValueError("weights must not all be zero")
     x1 = y1 = x2 = y2 = 0.0
-    for box, w in zip(box_list, weight_list, strict=True):
+    for box, w in zip(box_list, weight_list):
         x1 += box.x1 * w
         y1 += box.y1 * w
         x2 += box.x2 * w

@@ -28,6 +28,7 @@ __all__ = [
     "mean_average_precision",
     "coco_map",
     "COCO_IOU_THRESHOLDS",
+    "ReferenceBoxes",
 ]
 
 #: The COCO evaluation IoU thresholds (0.50:0.05:0.95).
@@ -155,43 +156,91 @@ def precision_recall_curve(
     )
 
 
+#: One reference box as the AP kernel reads it: ``(x1, y1, x2, y2, area)``.
+_RefBox = tuple[float, float, float, float, float]
+
+
+def _ref_box(det: Detection) -> _RefBox:
+    x1, y1, x2, y2 = det.box.x1, det.box.y1, det.box.x2, det.box.y2
+    return (x1, y1, x2, y2, (x2 - x1) * (y2 - y1))  # BBox.area's operations
+
+
+class ReferenceBoxes:
+    """Reference detections grouped by label once, for repeated AP scoring.
+
+    Every ensemble scored on a frame is matched against the same reference
+    set (REF's boxes for the estimated AP, ground truth for the true AP).
+    Grouping it once per frame — rather than once per ensemble — is what
+    :meth:`~repro.core.environment.DetectionEnvironment.evaluate` shares
+    across a frame's ensembles.  Pass an instance anywhere
+    :func:`mean_average_precision` takes references.
+
+    Attributes:
+        by_label: Per label, the reference boxes as
+            ``(x1, y1, x2, y2, area)`` tuples in input order.
+    """
+
+    __slots__ = ("by_label",)
+
+    def __init__(
+        self, references: Sequence[Detection] | FrameDetections
+    ) -> None:
+        by_label: dict[str, list[_RefBox]] = {}
+        for det in references:
+            entry = _ref_box(det)
+            group = by_label.get(det.label)
+            if group is None:
+                by_label[det.label] = [entry]
+            else:
+                group.append(entry)
+        self.by_label = by_label
+
+
 def _fast_ap(
-    preds: list[Detection], refs: list[Detection], iou_threshold: float
+    preds: list[Detection], refs: list[_RefBox], iou_threshold: float
 ) -> float:
     """All-point-interpolated AP for a single-class pool, pure Python.
 
     Identical protocol to :func:`precision_recall_curve` + ``auc()`` but
     avoiding numpy — per-frame detection sets are tiny (a handful of boxes)
     and array overhead dominates at that size.  This is the AP hot path:
-    the selection algorithms call it once per (frame, ensemble).
+    the selection algorithms call it once per (frame, ensemble, label).
+    References arrive as ``(x1, y1, x2, y2, area)`` tuples (see
+    :class:`ReferenceBoxes`), so the innermost loop reads no attributes;
+    areas are :attr:`BBox.area`'s ``width * height``, inlined.
     """
     if not refs:
         return 1.0 if not preds else 0.0
     if not preds:
         return 0.0
     order = sorted(preds, key=lambda d: d.confidence, reverse=True)
-    ref_boxes = [r.box for r in refs]
-    taken = [False] * len(refs)
+    num_refs = len(refs)
+    taken = [False] * num_refs
     # Greedy matching, then raw precision at each recall step.
     precisions: list[float] = []
     recalls: list[float] = []
     tp = 0
     for rank, det in enumerate(order, start=1):
         box = det.box
+        x1 = box.x1
+        y1 = box.y1
+        x2 = box.x2
+        y2 = box.y2
+        pred_area = (x2 - x1) * (y2 - y1)
         best_iou = iou_threshold
         best_ref = -1
-        for ri, ref_box in enumerate(ref_boxes):
+        for ri, (rx1, ry1, rx2, ry2, ref_area) in enumerate(refs):
             if taken[ri]:
                 continue
             # Inline IoU: avoids method-call overhead in the innermost loop.
-            iw = min(box.x2, ref_box.x2) - max(box.x1, ref_box.x1)
+            iw = min(x2, rx2) - max(x1, rx1)
             if iw <= 0.0:
                 continue
-            ih = min(box.y2, ref_box.y2) - max(box.y1, ref_box.y1)
+            ih = min(y2, ry2) - max(y1, ry1)
             if ih <= 0.0:
                 continue
             inter = iw * ih
-            union = box.area + ref_box.area - inter
+            union = pred_area + ref_area - inter
             overlap = inter / union if union > 0.0 else 0.0
             if overlap >= best_iou:
                 best_iou = overlap
@@ -200,7 +249,7 @@ def _fast_ap(
             taken[best_ref] = True
             tp += 1
         precisions.append(tp / rank)
-        recalls.append(tp / len(refs))
+        recalls.append(tp / num_refs)
     # Monotone interpolation and area under the PR curve.
     for i in range(len(precisions) - 2, -1, -1):
         if precisions[i] < precisions[i + 1]:
@@ -226,13 +275,15 @@ def average_precision(
     with references but no predictions (or vice versa) AP is 0.0.
     """
     preds = [d for d in predictions if label is None or d.label == label]
-    refs = [d for d in references if label is None or d.label == label]
+    refs = [
+        _ref_box(d) for d in references if label is None or d.label == label
+    ]
     return _fast_ap(preds, refs, iou_threshold)
 
 
 def mean_average_precision(
     predictions: Sequence[Detection] | FrameDetections,
-    references: Sequence[Detection] | FrameDetections,
+    references: Sequence[Detection] | FrameDetections | ReferenceBoxes,
     iou_threshold: float = 0.5,
     labels: Sequence[str] | None = None,
 ) -> float:
@@ -240,34 +291,34 @@ def mean_average_precision(
 
     Args:
         predictions: Predicted detections.
-        references: Reference detections.
+        references: Reference detections, or a :class:`ReferenceBoxes`
+            grouping of them made once for many calls.
         iou_threshold: IoU needed for a true positive.
         labels: Classes to average over.  Defaults to the union of classes
             present in either set; if that union is empty, returns 1.0
             (nothing to detect, nothing predicted).
     """
-    preds = list(predictions)
-    refs = list(references)
+    if not isinstance(references, ReferenceBoxes):
+        references = ReferenceBoxes(references)
+    refs_by_label = references.by_label
+    preds_by_label: dict[str, list[Detection]] = {}
+    for det in predictions:
+        group = preds_by_label.get(det.label)
+        if group is None:
+            preds_by_label[det.label] = [det]
+        else:
+            group.append(det)
     if labels is None:
-        label_set = sorted(
-            {d.label for d in preds} | {d.label for d in refs}
-        )
+        label_set = sorted(preds_by_label.keys() | refs_by_label.keys())
     else:
         label_set = list(labels)
     if not label_set:
         return 1.0
-    # Group once instead of re-filtering the pools per class.
-    preds_by_label: dict[str, list[Detection]] = {lbl: [] for lbl in label_set}
-    refs_by_label: dict[str, list[Detection]] = {lbl: [] for lbl in label_set}
-    for det in preds:
-        if det.label in preds_by_label:
-            preds_by_label[det.label].append(det)
-    for det in refs:
-        if det.label in refs_by_label:
-            refs_by_label[det.label].append(det)
     total = 0.0
     for lbl in label_set:
-        total += _fast_ap(preds_by_label[lbl], refs_by_label[lbl], iou_threshold)
+        total += _fast_ap(
+            preds_by_label.get(lbl, []), refs_by_label.get(lbl, []), iou_threshold
+        )
     return total / len(label_set)
 
 
@@ -287,7 +338,7 @@ def coco_map(
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
     preds = list(predictions)
-    refs = list(references)
+    refs = ReferenceBoxes(references)
     total = 0.0
     for threshold in thresholds:
         total += mean_average_precision(preds, refs, threshold, labels=labels)

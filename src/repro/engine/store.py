@@ -401,6 +401,17 @@ class EvaluationStore:
         value = self.get(stage, key)
         if value is not None:
             return value
+        return self.compute_and_put(stage, key, compute)
+
+    def compute_and_put(
+        self, stage: str, key: Hashable, compute: Callable[[], Any]
+    ) -> Any:
+        """Compute, time and :meth:`put` a value whose lookup already missed.
+
+        The miss half of :meth:`get_or_compute`, for callers that looked
+        the key up themselves (e.g. through :meth:`get_many`): it counts no
+        second lookup.
+        """
         start = self._timer()
         value = compute()
         elapsed_ms = (self._timer() - start) * 1000.0

@@ -156,15 +156,35 @@ def cluster_by_iou(
         reverse=True,
     )
     clusters: list[list[int]] = []
+    # Each representative's corners and area, read once: the scan below
+    # inlines :meth:`BBox.iou` (and ``BBox.area``) with the same float
+    # operations in the same order — the representative is ``self`` — so
+    # memberships are unchanged.
+    reps: list[tuple[float, float, float, float, float]] = []
     for idx in order:
         box = detections[idx].box
+        x1 = box.x1
+        y1 = box.y1
+        x2 = box.x2
+        y2 = box.y2
+        area = (x2 - x1) * (y2 - y1)
         placed = False
-        for cluster in clusters:
-            rep = detections[cluster[0]].box
-            if rep.iou(box) >= iou_threshold:
+        for cluster, (rx1, ry1, rx2, ry2, rep_area) in zip(clusters, reps):
+            iw = min(rx2, x2) - max(rx1, x1)
+            ih = min(ry2, y2) - max(ry1, y1)
+            if iw <= 0 or ih <= 0:
+                overlap = 0.0
+            else:
+                # An underflowed ``inter`` of 0.0 yields 0.0 here, as in
+                # BBox.iou's early return.
+                inter = iw * ih
+                union = rep_area + area - inter
+                overlap = inter / union if union > 0.0 else 0.0
+            if overlap >= iou_threshold:
                 cluster.append(idx)
                 placed = True
                 break
         if not placed:
             clusters.append([idx])
+            reps.append((x1, y1, x2, y2, area))
     return clusters

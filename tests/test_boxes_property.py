@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +85,51 @@ def test_average_boxes_within_hull(boxes):
         hull = hull.enclosing(box)
     assert hull.x1 - 1e-6 <= avg.x1 and avg.x2 <= hull.x2 + 1e-6
     assert hull.y1 - 1e-6 <= avg.y1 and avg.y2 <= hull.y2 + 1e-6
+
+
+def _reference_average(boxes, weights=None):
+    """The original ``average_boxes``: validate, then accumulate w * c."""
+    box_list = list(boxes)
+    if not box_list:
+        raise ValueError("cannot average an empty collection of boxes")
+    if weights is None:
+        weight_list = [1.0] * len(box_list)
+    else:
+        weight_list = [float(w) for w in weights]
+        if len(weight_list) != len(box_list):
+            raise ValueError("weights length must match number of boxes")
+        if any(w < 0 for w in weight_list):
+            raise ValueError("weights must be non-negative")
+    total = sum(weight_list)
+    if total <= 0:
+        raise ValueError("weights must not all be zero")
+    x1 = y1 = x2 = y2 = 0.0
+    for box, w in zip(box_list, weight_list, strict=True):
+        x1 += box.x1 * w
+        y1 += box.y1 * w
+        x2 += box.x2 * w
+        y2 += box.y2 * w
+    return BBox(x1 / total, y1 / total, x2 / total, y2 / total)
+
+
+weight_values = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@given(
+    st.lists(bboxes(), min_size=1, max_size=8),
+    st.none() | st.lists(weight_values, min_size=1, max_size=8),
+)
+def test_average_boxes_matches_reference_accumulation(boxes, weights):
+    """Same outputs (bit for bit) and the same ValueErrors as the plain
+    validate-then-accumulate form, unweighted and weighted."""
+    try:
+        expected = _reference_average(boxes, weights)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            average_boxes(boxes, weights)
+        return
+    assert average_boxes(boxes, weights).as_tuple() == expected.as_tuple()
+    assert average_boxes(iter(boxes), weights) == expected
 
 
 @given(st.lists(bboxes(), min_size=1, max_size=6), st.lists(bboxes(), min_size=1, max_size=6))

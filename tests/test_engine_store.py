@@ -351,6 +351,15 @@ class TestBatchedOperations:
         assert stats.hits == 2
         assert stats.misses == 2
 
+    def test_compute_and_put_counts_no_lookup(self):
+        store = EvaluationStore(capacity=16, timer=iter([1.0, 1.5]).__next__)
+        assert store.get_many("s", [1]) == [None]
+        assert store.compute_and_put("s", 1, lambda: "x") == "x"
+        stats = store.stats().stages["s"]
+        assert (stats.lookups, stats.misses) == (1, 1)
+        assert stats.compute_ms == 500.0
+        assert store.get("s", 1) == "x"
+
     def test_get_many_refreshes_lru_order(self):
         store = EvaluationStore(capacity=2)
         store.put("s", 1, "a")

@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.environment import DetectionEnvironment, EvaluationStore
 from repro.core.scoring import WeightedLogScore
+from repro.detection.metrics import mean_average_precision
+from repro.engine.backends import SerialBackend
+from repro.engine.resilience import ResilientBackend, RetryPolicy
 from repro.simulation.detectors import SimulatedDetector
+from repro.simulation.faults import FaultSpec, FaultyDetector
 from repro.simulation.profiles import make_profile
 
 
@@ -101,6 +105,83 @@ class TestEvaluate:
         for key in a.evaluations:
             assert a.evaluations[key].est_score == b.evaluations[key].est_score
             assert a.evaluations[key].true_ap == b.evaluations[key].true_ap
+
+
+@pytest.fixture(params=["fault-free", "failed-member"])
+def frame_environment(request, detector_pool, lidar):
+    """A fault-free environment, or one whose first detector is down."""
+    if request.param == "fault-free":
+        return DetectionEnvironment(detector_pool, lidar)
+    down = FaultyDetector(detector_pool[0], FaultSpec(outage=(0, 10**9)), seed=0)
+    return DetectionEnvironment(
+        [down, *detector_pool[1:]],
+        lidar,
+        backend=ResilientBackend(
+            SerialBackend(), retry=RetryPolicy(max_attempts=1, jitter_ms=0.0)
+        ),
+    )
+
+
+class TestPerFrameScoring:
+    """One frame's ensembles share member outputs, fused boxes and the
+    grouped reference sets; the scores are those of a direct computation."""
+
+    def test_scores_equal_direct_map(self, frame_environment, small_video):
+        env = frame_environment
+        frame = small_video.frames[3]
+        batch = env.evaluate(frame, env.all_ensembles)
+        faulty = any(
+            isinstance(env.detector(m), FaultyDetector) for m in env.model_names
+        )
+        assert batch.degraded == faulty
+        refs = env.reference_detections(frame)
+        truth = frame.ground_truth_detections()
+        for ev in batch.evaluations.values():
+            assert ev.est_ap == mean_average_precision(
+                ev.detections, refs, env.iou_threshold
+            )
+            assert ev.true_ap == mean_average_precision(
+                ev.detections, truth, env.iou_threshold
+            )
+
+    def test_one_lookup_per_member_realized_ensemble_and_reference(
+        self, frame_environment, small_video
+    ):
+        env = frame_environment
+        frame = small_video.frames[3]
+        batch = env.evaluate(frame, env.all_ensembles, charge=True)
+        stages = env.store.stats().stages
+        union = {m for key in env.all_ensembles for m in key}
+        healthy = union - set(batch.failed_models)
+        realized = {ev.realized_key for ev in batch.evaluations.values()}
+        assert stages["detector"].lookups == len(healthy)
+        assert stages["fused"].lookups == len(realized)
+        assert stages["reference"].lookups == 1
+
+    def test_evicted_member_output_recomputed_with_one_lookup(
+        self, detector_pool, lidar, small_video
+    ):
+        class EvictingStore(EvaluationStore):
+            """Drops every entry (and counter) just before the first
+            batched detector read, as if evicted after materialization."""
+
+            evicted = False
+
+            def get_many(self, stage, keys):
+                if stage == "detector" and not self.evicted:
+                    self.evicted = True
+                    self.clear()
+                return super().get_many(stage, keys)
+
+        frame = small_video.frames[3]
+        env = DetectionEnvironment(detector_pool, lidar, cache=EvictingStore())
+        batch = env.evaluate(frame, env.all_ensembles, charge=True)
+        detector = env.store.stats().stages["detector"]
+        assert detector.lookups == detector.misses == len(env.model_names)
+        expected = DetectionEnvironment(detector_pool, lidar).evaluate(
+            frame, env.all_ensembles, charge=True
+        )
+        assert batch.evaluations == expected.evaluations
 
 
 class TestSharedCache:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.detection.boxes import BBox
 from repro.detection.types import Detection, FrameDetections
+from repro.ensembling.base import cluster_by_iou
 from repro.ensembling.registry import available_methods, create_method
 
 labels = st.sampled_from(["car", "bus"])
@@ -82,3 +83,53 @@ def test_fusion_empty_inputs(method_name):
     method = create_method(method_name)
     fused = method.fuse([FrameDetections(0), FrameDetections(0)])
     assert len(fused) == 0
+
+
+def _reference_clusters(detections, iou_threshold):
+    """Greedy clustering through :meth:`BBox.iou`, the method form."""
+    order = sorted(
+        range(len(detections)),
+        key=lambda i: detections[i].confidence,
+        reverse=True,
+    )
+    clusters = []
+    for idx in order:
+        box = detections[idx].box
+        for cluster in clusters:
+            if detections[cluster[0]].box.iou(box) >= iou_threshold:
+                cluster.append(idx)
+                break
+        else:
+            clusters.append([idx])
+    return clusters
+
+
+@st.composite
+def grid_detections(draw):
+    """Boxes on a coarse grid: zero-area boxes, shared and touching edges
+    and exact duplicates are common, and confidences tie often."""
+    x1 = draw(st.integers(min_value=0, max_value=6))
+    y1 = draw(st.integers(min_value=0, max_value=6))
+    w = draw(st.integers(min_value=0, max_value=4))
+    h = draw(st.integers(min_value=0, max_value=4))
+    conf = draw(st.sampled_from([0.25, 0.5, 0.5, 0.75, 1.0]))
+    return Detection(BBox(float(x1), float(y1), float(x1 + w), float(y1 + h)), conf, "car")
+
+
+@given(
+    pool=st.lists(grid_detections(), min_size=0, max_size=12),
+    threshold=st.sampled_from([0.0, 0.25, 0.5, 0.55, 1.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_cluster_by_iou_matches_method_iou(pool, threshold):
+    """The inlined IoU scan clusters exactly as ``BBox.iou`` does."""
+    assert cluster_by_iou(pool, threshold) == _reference_clusters(pool, threshold)
+
+
+@given(
+    pool=st.lists(detections(), min_size=0, max_size=10),
+    threshold=st.sampled_from([0.0, 0.3, 0.55, 1.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_cluster_by_iou_matches_method_iou_float_boxes(pool, threshold):
+    assert cluster_by_iou(pool, threshold) == _reference_clusters(pool, threshold)

@@ -1,9 +1,10 @@
 """Cross-validation of the fast AP path and coco_map.
 
-The hot-path pure-Python AP (``_fast_ap``) must agree exactly with the
-reference numpy implementation (``precision_recall_curve().auc()``) — they
-implement the same VOC protocol by different code paths, so property-based
-agreement is the strongest regression guard for the optimization.
+The hot-path pure-Python AP (``_fast_ap``, over references grouped once as
+``(x1, y1, x2, y2, area)`` tuples) must agree exactly with the reference
+numpy implementation (``precision_recall_curve().auc()``) — they implement
+the same VOC protocol by different code paths, so property-based agreement
+is the strongest regression guard for the optimization.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro.detection.boxes import BBox
 from repro.detection.metrics import (
     COCO_IOU_THRESHOLDS,
+    ReferenceBoxes,
     average_precision,
     coco_map,
     mean_average_precision,
@@ -44,6 +46,39 @@ def test_fast_ap_matches_reference_implementation(preds, refs, threshold):
     else:
         reference = 1.0 if not preds else 0.0
     assert fast == pytest.approx(reference, abs=1e-12)
+    # One label, so the mean over labels is that label's AP; grouping the
+    # references up front (as the environment does per frame) is exact.
+    grouped = ReferenceBoxes(refs)
+    assert mean_average_precision(preds, grouped, threshold) == fast
+    assert mean_average_precision(preds, refs, threshold) == fast
+    assert mean_average_precision(preds, grouped, threshold, labels=["car"]) == fast
+
+
+mixed_labels = st.lists(
+    st.tuples(detections(), st.sampled_from(["car", "bus", "person"])).map(
+        lambda pair: Detection(pair[0].box, pair[0].confidence, pair[1])
+    ),
+    min_size=0,
+    max_size=10,
+)
+
+
+@given(mixed_labels, mixed_labels, st.sampled_from([0.3, 0.5, 0.75]))
+@settings(max_examples=80)
+def test_grouped_references_match_per_label_average(preds, refs, threshold):
+    """mAP over pre-grouped references is the mean of per-label APs, in
+    sorted label order, bit for bit."""
+    labels = sorted({d.label for d in preds} | {d.label for d in refs})
+    if labels:
+        total = 0.0
+        for label in labels:
+            total += average_precision(preds, refs, threshold, label=label)
+        expected = total / len(labels)
+    else:
+        expected = 1.0
+    grouped = ReferenceBoxes(refs)
+    assert mean_average_precision(preds, grouped, threshold) == expected
+    assert mean_average_precision(preds, refs, threshold) == expected
 
 
 class TestCocoMap:
